@@ -67,10 +67,6 @@ func (c *Conv2D) MACs(ch, h, w int) (int64, int, int, int) {
 	return int64(c.OutC) * int64(c.InC) * int64(c.K*c.K) * int64(h*w), c.OutC, h, w
 }
 
-func (c *Conv2D) wIdx(oc, ic, kh, kw int) int {
-	return ((oc*c.InC+ic)*c.K+kh)*c.K + kw
-}
-
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	c.lastIn = x
@@ -84,74 +80,42 @@ func (c *Conv2D) infer(x *Tensor) *Tensor {
 		panic(fmt.Sprintf("dnn: %s expects %d channels, got %s", c.name, c.InC, x.Shape()))
 	}
 	out := NewTensor(x.N, c.OutC, x.H, x.W)
-	pad := c.K / 2
-	for n := 0; n < x.N; n++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.Bias.W[oc]
-			for oh := 0; oh < x.H; oh++ {
-				for ow := 0; ow < x.W; ow++ {
-					sum := bias
-					for ic := 0; ic < c.InC; ic++ {
-						for kh := 0; kh < c.K; kh++ {
-							ih := oh + kh - pad
-							if ih < 0 || ih >= x.H {
-								continue
-							}
-							rowBase := x.Idx(n, ic, ih, 0)
-							wBase := c.wIdx(oc, ic, kh, 0)
-							for kw := 0; kw < c.K; kw++ {
-								iw := ow + kw - pad
-								if iw < 0 || iw >= x.W {
-									continue
-								}
-								sum += x.Data[rowBase+iw] * c.Weight.W[wBase+kw]
-							}
-						}
-					}
-					out.Data[out.Idx(n, oc, oh, ow)] = sum
-				}
-			}
-		}
-	}
+	convForward(out.Data, x.Data, c.Weight.W, c.Bias.W, x.N, c.InC, c.OutC, x.H, x.W, c.K)
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Weight.G gathers grad·im2col(x)ᵀ per sample;
+// dL/din is the forward convolution of grad with the flipped, transposed
+// kernel, which keeps the direct loop's per-element summation order.
 func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 	x := c.lastIn
 	din := x.ZerosLike()
-	pad := c.K / 2
+	p := x.H * x.W
+	kk := c.K * c.K
+	kd := c.InC * kk
+	for i, g := range grad.Data {
+		if g != 0 {
+			c.Bias.G[(i/p)%c.OutC] += g
+		}
+	}
+	buf := getScratch(kd*p + len(c.Weight.W))
+	col, wt := (*buf)[:kd*p], (*buf)[kd*p:]
 	for n := 0; n < x.N; n++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			for oh := 0; oh < x.H; oh++ {
-				for ow := 0; ow < x.W; ow++ {
-					g := grad.Data[grad.Idx(n, oc, oh, ow)]
-					if g == 0 {
-						continue
-					}
-					c.Bias.G[oc] += g
-					for ic := 0; ic < c.InC; ic++ {
-						for kh := 0; kh < c.K; kh++ {
-							ih := oh + kh - pad
-							if ih < 0 || ih >= x.H {
-								continue
-							}
-							rowBase := x.Idx(n, ic, ih, 0)
-							wBase := c.wIdx(oc, ic, kh, 0)
-							for kw := 0; kw < c.K; kw++ {
-								iw := ow + kw - pad
-								if iw < 0 || iw >= x.W {
-									continue
-								}
-								c.Weight.G[wBase+kw] += g * x.Data[rowBase+iw]
-								din.Data[rowBase+iw] += g * c.Weight.W[wBase+kw]
-							}
-						}
-					}
-				}
+		Im2Col(col, x.Data[n*c.InC*p:(n+1)*c.InC*p], c.InC, x.H, x.W, c.K, 0)
+		gemmAccTrans(c.Weight.G, grad.Data[n*c.OutC*p:(n+1)*c.OutC*p], col, c.OutC, kd, p)
+	}
+	// wt[ic][oc][a][b] = W[oc][ic][K−1−a][K−1−b].
+	for oc := 0; oc < c.OutC; oc++ {
+		for ic := 0; ic < c.InC; ic++ {
+			src := c.Weight.W[(oc*c.InC+ic)*kk : (oc*c.InC+ic+1)*kk]
+			dst := wt[(ic*c.OutC+oc)*kk : (ic*c.OutC+oc+1)*kk]
+			for t := range dst {
+				dst[t] = src[kk-1-t]
 			}
 		}
 	}
+	convForward(din.Data, grad.Data, wt, nil, x.N, c.OutC, c.InC, x.H, x.W, c.K)
+	scratch.Put(buf)
 	return din
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"optima/internal/core"
 	"optima/internal/device"
+	"optima/internal/dnn"
 	"optima/internal/mult"
 	"optima/internal/stats"
 )
@@ -44,4 +45,31 @@ func BenchmarkInMemoryMulSampled(b *testing.B) {
 		sink += im.Mul(uint8(i&15), int8(i%8))
 	}
 	_ = sink
+}
+
+// BenchmarkQConvForward times one quantized 8→16-channel 3×3 convolution
+// over a batch of four 12×12 inputs: through the deterministic multiplier's
+// product table, and with the sampled multiplier's one Mul per operation.
+func BenchmarkQConvForward(b *testing.B) {
+	rng := stats.NewRNG(5)
+	w := make([]float64, 16*8*3*3)
+	for i := range w {
+		w[i] = rng.Gaussian(0, 1)
+	}
+	s := &qConv{inC: 8, outC: 16, k: 3, act: calibrate(0, 3), w: QuantizeWeights(w), bias: make([]float64, 16)}
+	x := dnn.NewTensor(4, 8, 12, 12)
+	for i := range x.Data {
+		x.Data[i] = 3 * rng.Float64()
+	}
+	for _, tc := range []struct {
+		name string
+		rng  *stats.RNG
+	}{{"table", nil}, {"sampled", stats.NewRNG(1)}} {
+		im := benchLUT(b, tc.rng)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.forward(x, im)
+			}
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package quant
 
 import (
+	"fmt"
+
 	"optima/internal/dnn"
 	"optima/internal/stats"
 )
@@ -25,8 +27,15 @@ func DefaultQATConfig() QATConfig {
 // snapshotted, replaced by their quantize-dequantize images, gradients are
 // computed through the quantized forward pass, and the update is applied to
 // the retained full-precision weights. This nudges the float weights toward
-// INT4-friendly values before post-training quantization.
+// INT4-friendly values before post-training quantization. Inputs are
+// checked as dnn.Network.Fit checks them: a non-positive BatchSize means 32.
 func QATFineTune(net *dnn.Network, x *dnn.Tensor, labels []int, cfg QATConfig) error {
+	if x.N != len(labels) {
+		return fmt.Errorf("quant: %d samples but %d labels", x.N, len(labels))
+	}
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = 32
+	}
 	weightParams := fakeQuantTargets(net)
 	opt := dnn.NewSGD(cfg.LR, cfg.Momentum, 0)
 	rng := stats.NewRNG(cfg.Seed)

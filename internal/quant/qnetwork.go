@@ -55,51 +55,141 @@ type qConv struct {
 	bias         []float64
 }
 
+// padCode marks an im2col tap outside the image. It lies past every uint4
+// activation code, so the table kernel reads 0 for it under every weight
+// and the per-call kernel skips it.
+const padCode = ActMax + 1
+
+// forward runs the convolution over an im2col of the activation codes. A
+// multiplier that tabulates its products (TableMultiplier) takes the table
+// kernel; any other — a sampled InMemory, whose noise stream depends on
+// the call order, or an unknown implementation — gets one Mul per
+// in-bounds, nonzero-weight tap in (n, oc, oh, ow, ic, kh, kw) order. All
+// scratch belongs to the call, so concurrent forwards never share it.
 func (s *qConv) forward(x *dnn.Tensor, m Multiplier) *dnn.Tensor {
 	out := dnn.NewTensor(x.N, s.outC, x.H, x.W)
-	pad := s.k / 2
 	// Quantize the input tensor once.
 	codes := make([]uint8, x.Len())
 	for i, v := range x.Data {
 		codes[i] = s.act.Quantize(v)
 	}
-	za := s.act.Zero
-	outScale := s.act.Scale * s.w.Scale
+	p := x.H * x.W
+	col := make([]uint8, s.inC*s.k*s.k*p)
+	var tab ProductTable
+	tm, table := m.(TableMultiplier)
+	table = table && tm.ProductTable(&tab)
+	var lut productLUT
+	if table {
+		s.fillLUT(&lut, &tab)
+	}
 	for n := 0; n < x.N; n++ {
-		for oc := 0; oc < s.outC; oc++ {
-			for oh := 0; oh < x.H; oh++ {
-				for ow := 0; ow < x.W; ow++ {
-					var acc, wSum int32
-					for ic := 0; ic < s.inC; ic++ {
-						for kh := 0; kh < s.k; kh++ {
-							ih := oh + kh - pad
-							if ih < 0 || ih >= x.H {
-								continue
-							}
-							rowBase := x.Idx(n, ic, ih, 0)
-							wBase := (oc*s.inC+ic)*s.k*s.k + kh*s.k
-							for kw := 0; kw < s.k; kw++ {
-								iw := ow + kw - pad
-								if iw < 0 || iw >= x.W {
-									continue
-								}
-								wc := s.w.Codes[wBase+kw]
-								if wc == 0 {
-									continue // stored zero word: no discharge
-								}
-								acc += m.Mul(codes[rowBase+iw], wc)
-								wSum += int32(wc)
-							}
-						}
-					}
-					// Zero-point correction: Σ(a−za)·w = Σ a·w − za·Σw.
-					acc -= za * wSum
-					out.Data[out.Idx(n, oc, oh, ow)] = float64(acc)*outScale + s.bias[oc]
-				}
-			}
+		dnn.Im2Col(col, codes[n*s.inC*p:(n+1)*s.inC*p], s.inC, x.H, x.W, s.k, uint8(padCode))
+		o := out.Data[n*s.outC*p : (n+1)*s.outC*p]
+		if table {
+			s.sampleByTable(o, col, &lut)
+		} else {
+			s.sampleByMul(o, col, m)
 		}
 	}
+	if table {
+		tm.CountOps(int64(x.N) * s.tapsPerSample(x.H, x.W))
+	}
 	return out
+}
+
+// productLUT is a product table with the zero-point correction folded in,
+// indexed [w+WeightMax][a]. Rows run to 256 so a uint8 code indexes them
+// without a bounds check; every code past ActMax, padCode included, reads 0.
+type productLUT [2*WeightMax + 1][256]int32
+
+// fillLUT sets lut[w][a] = T[a][w] − za·w, leaving the zero-weight row 0
+// (a stored zero word never discharges and never reaches Mul).
+func (s *qConv) fillLUT(lut *productLUT, t *ProductTable) {
+	for wi := range lut {
+		w := int32(wi - WeightMax)
+		if w == 0 {
+			continue
+		}
+		for a := 0; a <= ActMax; a++ {
+			lut[wi][a] = t[a][wi] - s.act.Zero*w
+		}
+	}
+}
+
+// sampleByTable convolves one sample's im2col codes into out [outC][p]
+// through the lookup table. Integer sums do not depend on order, so the
+// k-outer accumulation equals the per-call kernel's result exactly.
+func (s *qConv) sampleByTable(out []float64, col []uint8, lut *productLUT) {
+	kd := s.inC * s.k * s.k
+	p := len(col) / kd
+	outScale := s.act.Scale * s.w.Scale
+	acc := make([]int32, p)
+	for oc := 0; oc < s.outC; oc++ {
+		clear(acc)
+		for k, wc := range s.w.Codes[oc*kd : (oc+1)*kd] {
+			if wc == 0 {
+				continue // stored zero word: no discharge
+			}
+			row := &lut[int(wc)+WeightMax]
+			for j, a := range col[k*p : (k+1)*p][:len(acc)] {
+				acc[j] += row[a]
+			}
+		}
+		o := out[oc*p : (oc+1)*p][:len(acc)]
+		for j, v := range acc {
+			o[j] = float64(v)*outScale + s.bias[oc]
+		}
+	}
+}
+
+// sampleByMul convolves one sample's im2col codes into out [outC][p] with
+// one Mul per in-bounds, nonzero-weight tap, in (oc, oh, ow, ic, kh, kw)
+// order.
+func (s *qConv) sampleByMul(out []float64, col []uint8, m Multiplier) {
+	kd := s.inC * s.k * s.k
+	p := len(col) / kd
+	za := s.act.Zero
+	outScale := s.act.Scale * s.w.Scale
+	for oc := 0; oc < s.outC; oc++ {
+		wrow := s.w.Codes[oc*kd : (oc+1)*kd]
+		o := out[oc*p : (oc+1)*p]
+		for j := range o {
+			var acc, wSum int32
+			for k, wc := range wrow {
+				a := col[k*p+j]
+				if a == padCode || wc == 0 {
+					continue // outside the image, or no discharge
+				}
+				acc += m.Mul(a, wc)
+				wSum += int32(wc)
+			}
+			// Zero-point correction: Σ(a−za)·w = Σ a·w − za·Σw.
+			acc -= za * wSum
+			o[j] = float64(acc)*outScale + s.bias[oc]
+		}
+	}
+}
+
+// tapsPerSample counts the multiplications of one h×w sample: the in-bounds
+// taps with a nonzero weight, as the per-call kernel issues them.
+func (s *qConv) tapsPerSample(h, w int) int64 {
+	pad := s.k / 2
+	inBounds := func(n, kk int) int64 {
+		d := kk - pad
+		if d < 0 {
+			d = -d
+		}
+		return int64(max(0, n-d))
+	}
+	var taps int64
+	kk := s.k * s.k
+	for i, wc := range s.w.Codes {
+		if wc != 0 {
+			t := i % kk
+			taps += inBounds(h, t/s.k) * inBounds(w, t%s.k)
+		}
+	}
+	return taps
 }
 
 // qDense executes a quantized dense layer.
@@ -188,16 +278,13 @@ func (q *QNetwork) evalWorkers() int {
 	return q.Workers
 }
 
-// multSafe reports whether the multiplier tolerates concurrent Mul calls.
-// Unknown implementations are conservatively treated as serial.
+// multSafe reports whether the multiplier tolerates concurrent Mul calls:
+// one whose products tabulate is a pure function of its operands (see
+// TableMultiplier). Other implementations are conservatively serial.
 func multSafe(m Multiplier) bool {
-	switch t := m.(type) {
-	case Exact:
-		return true
-	case *InMemory:
-		return t.Deterministic()
-	}
-	return false
+	tm, ok := m.(TableMultiplier)
+	var t ProductTable
+	return ok && tm.ProductTable(&t)
 }
 
 // Quantize converts a trained float network to INT4 quantized execution.

@@ -25,8 +25,32 @@ const (
 // Multiplier is the scalar multiply used inside quantized conv/dense
 // layers: activation code a ∈ [0, 15] times signed weight code
 // w ∈ [−7, 7]. Implementations return the (possibly erroneous) product.
+//
+// A Multiplier may also implement TableMultiplier. Quantized convolutions
+// then look every product up in its ProductTable instead of calling Mul
+// once per multiplication; the results are identical, because the table
+// holds exactly what Mul returns and integer sums do not depend on order.
 type Multiplier interface {
 	Mul(a uint8, w int8) int32
+}
+
+// ProductTable holds every product a multiplier returns:
+// T[a][w+WeightMax] = Mul(a, w) for a ∈ [0, ActMax], w ∈ [−WeightMax, WeightMax].
+type ProductTable [ActMax + 1][2*WeightMax + 1]int32
+
+// TableMultiplier is the optional table interface of a Multiplier. One
+// whose ProductTable reports true must also be safe for concurrent Mul and
+// CountOps calls: quantized networks then evaluate batches in parallel.
+type TableMultiplier interface {
+	Multiplier
+	// ProductTable fills t and reports whether Mul is a pure function of
+	// its operands. When it returns false (a sampled multiplier whose noise
+	// stream depends on the call order) callers must call Mul per
+	// operation, in order, and t is unspecified.
+	ProductTable(t *ProductTable) bool
+	// CountOps records n multiplications served from the table, so
+	// operation counters read as if Mul had been called n times.
+	CountOps(n int64)
 }
 
 // Exact computes the true integer product (the paper's "Baseline INT4").
@@ -34,6 +58,24 @@ type Exact struct{}
 
 // Mul implements Multiplier.
 func (Exact) Mul(a uint8, w int8) int32 { return int32(a) * int32(w) }
+
+// ProductTable implements TableMultiplier.
+func (e Exact) ProductTable(t *ProductTable) bool {
+	fillTable(t, e.Mul)
+	return true
+}
+
+// CountOps implements TableMultiplier; Exact keeps no counter.
+func (Exact) CountOps(int64) {}
+
+// fillTable tabulates mul over every operand pair.
+func fillTable(t *ProductTable, mul func(a uint8, w int8) int32) {
+	for a := range t {
+		for wi := range t[a] {
+			t[a][wi] = mul(uint8(a), int8(wi-WeightMax))
+		}
+	}
+}
 
 // InMemory replaces every multiplication with the in-SRAM multiplier model:
 // the unsigned magnitude product is looked up in the corner's calibrated
@@ -77,6 +119,24 @@ func (im *InMemory) Deterministic() bool { return im.rng == nil }
 // Mul implements Multiplier.
 func (im *InMemory) Mul(a uint8, w int8) int32 {
 	im.ops.Add(1)
+	return im.product(a, w)
+}
+
+// ProductTable implements TableMultiplier: the deterministic (nil-RNG)
+// transfer tabulates; the sampled one does not.
+func (im *InMemory) ProductTable(t *ProductTable) bool {
+	if !im.Deterministic() {
+		return false
+	}
+	fillTable(t, im.product)
+	return true
+}
+
+// CountOps implements TableMultiplier.
+func (im *InMemory) CountOps(n int64) { im.ops.Add(n) }
+
+// product is Mul without the operation count.
+func (im *InMemory) product(a uint8, w int8) int32 {
 	d := w
 	neg := false
 	if d < 0 {

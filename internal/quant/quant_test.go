@@ -275,3 +275,28 @@ func TestQATFineTuneImprovesOrKeepsInt4(t *testing.T) {
 		t.Fatalf("post-QAT INT4 accuracy %g%% too low", top1)
 	}
 }
+
+// TestQATFineTuneValidatesInputs: a zero batch size falls back to 32 as in
+// dnn.Network.Fit, and a label count that does not match the samples is an
+// error rather than an index panic.
+func TestQATFineTuneValidatesInputs(t *testing.T) {
+	rng := stats.NewRNG(31)
+	net := dnn.NewNetwork("v", 3, 4, 4)
+	net.Add(dnn.NewConv2D("c", 3, 4, 3, rng))
+	net.Add(dnn.NewGlobalAvgPool("gap"))
+	net.Add(dnn.NewDense("fc", 4, 2, rng))
+	x := dnn.NewTensor(5, 3, 4, 4)
+	for i := range x.Data {
+		x.Data[i] = rng.Gaussian(0, 1)
+	}
+	labels := []int{0, 1, 0, 1, 0}
+	cfg := DefaultQATConfig()
+	cfg.Epochs, cfg.BatchSize = 1, 0
+	if err := QATFineTune(net, x, labels, cfg); err != nil {
+		t.Fatalf("zero batch size: %v", err)
+	}
+	cfg.BatchSize = 2
+	if err := QATFineTune(net, x, labels[:3], cfg); err == nil {
+		t.Fatal("3 labels for 5 samples accepted")
+	}
+}
