@@ -141,7 +141,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	slog.Info("serving", "addr", ln.Addr().String(),
@@ -267,7 +267,7 @@ func runSmoke(workersN int, workerBin string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(srv.Handler())
 	go httpSrv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("optima-server: smoke on %s\n", base)

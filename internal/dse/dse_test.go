@@ -13,6 +13,7 @@ import (
 	"optima/internal/engine"
 	"optima/internal/mult"
 	"optima/internal/spice"
+	"optima/internal/stats"
 )
 
 var (
@@ -311,8 +312,34 @@ func TestGoldenCornerCheck(t *testing.T) {
 		t.Errorf("TT error %.2f not the smallest: FF %.2f, SS %.2f",
 			check.AvgError[0], check.AvgError[1], check.AvgError[2])
 	}
-	if check.Transients == 0 {
-		t.Fatal("no transients counted")
+	// 16 trim transients, then 64 matched (a, i) transients per corner.
+	if check.Transients != 208 {
+		t.Fatalf("corner check ran %d transients, want 208", check.Transients)
+	}
+	// Each corner's error equals the per-pair golden multiplication's.
+	trim, err := mult.CalibrateGoldenTrim(core.QuickCalibration().Tech, cfg, spice.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, corner := range check.Corners {
+		cond := device.PVT{Corner: corner, VDD: device.NominalVDD, TempC: device.NominalTempC}
+		g, err := mult.NewGoldenWithTrim(core.QuickCalibration().Tech, cfg, cond, spice.DefaultConfig(), trim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc stats.Accumulator
+		for a := uint(0); a <= mult.OperandMax; a++ {
+			for d := uint(0); d <= mult.OperandMax; d++ {
+				r, err := g.Multiply(a, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc.Add(math.Abs(float64(r.ErrorLSB())))
+			}
+		}
+		if math.Float64bits(acc.Mean()) != math.Float64bits(check.AvgError[i]) {
+			t.Fatalf("%v: corner check error %v, per-pair multiply %v", corner, check.AvgError[i], acc.Mean())
+		}
 	}
 }
 

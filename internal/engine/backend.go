@@ -172,9 +172,11 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 // once per condition. Use NewGoldenBackend; the zero value also works (the
 // trim cache initializes lazily).
 //
-// Golden implements IntraBackend: EvaluateBudget fans the 256 input-space
-// transients and the Monte-Carlo sigma samples of one corner out across an
-// intra-job worker budget, with Metrics guaranteed identical at any budget.
+// Golden implements IntraBackend: EvaluateBudget fans the 64 distinct
+// input-space transients (one per input code and bit line, composed into
+// all 256 pairs) and the Monte-Carlo sigma samples of one corner out across
+// an intra-job worker budget, with Metrics guaranteed identical at any
+// budget.
 type Golden struct {
 	Tech  device.Tech
 	Spice spice.Config
@@ -279,23 +281,21 @@ const GoldenSigmaSamples = 24
 // job workers.
 const goldenSigmaSeed = 0x600dc0de
 
-// inputSpan is the per-operand code count of the multiplier input space.
-const inputSpan = mult.OperandMax + 1
-
 // Evaluate implements Backend: the serial (intra = 1) evaluation path.
 func (g *Golden) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) {
 	return g.EvaluateBudget(cfg, cond, 1)
 }
 
 // EvaluateBudget implements IntraBackend. The per-corner transients — the
-// 16 trim transients of a cold configuration, the 256 input pairs, and the
-// GoldenSigmaSamples mismatch samples of the (15,15) input — fan out
-// across up to intra workers, each with its own integrator
-// scratch and — for the Monte-Carlo phase — its own per-sample seeded RNG
-// and cell state. Workers fill fixed slices indexed by (a, d) and by
-// sample, and the Metrics reduction walks those slices serially in input
-// order, so the result is byte-identical to the serial path at any worker
-// count — the engine's content-addressed cache contract.
+// 16 trim transients of a cold configuration, the 64 matched (input code,
+// bit line) transients of the input space, and the GoldenSigmaSamples
+// mismatch samples of the (15,15) input — fan out across up to intra
+// workers, each with its own integrator scratch and — for the Monte-Carlo
+// phase — its own per-sample seeded RNG and cell state. Workers fill fixed
+// slots indexed by (a, i) and by sample, and the Metrics reduction composes
+// and walks the 256 pairs serially in (a, d) order, so the result is
+// byte-identical to the serial path at any worker count — the engine's
+// content-addressed cache contract.
 func (g *Golden) EvaluateBudget(cfg mult.Config, cond device.PVT, intra int) (Metrics, error) {
 	return g.evaluateObserved(cfg, cond, intra, nil, 0)
 }
@@ -316,45 +316,18 @@ func (g *Golden) evaluateObserved(cfg mult.Config, cond device.PVT, intra int, r
 	}
 	m := Metrics{Config: cfg, Cond: cond, LSBVolt: gm.LSBVolt}
 
-	// Workers reuse integrator buffers between transients; the pool hands
-	// each in-flight call a private Scratch.
-	var scratch sync.Pool
-
-	// Input space: pair i = (a, d) = (i / 16, i mod 16). sched.Map returns
-	// the per-pair results in index order regardless of scheduling.
-	type pairRes struct{ eps, energy float64 }
-	pairIdx := make([]int, inputSpan*inputSpan)
-	for i := range pairIdx {
-		pairIdx[i] = i
-	}
-	var pairArg string
-	if rec != nil {
-		pairArg = fmt.Sprintf("%d pairs", len(pairIdx))
-	}
-	pairSpan := rec.StartSpan(parent, obs.CatPhase, "input-space", pairArg)
-	pairs, err := sched.Map(intra, pairIdx, func(_ int, i int) (pairRes, error) {
-		scr, _ := scratch.Get().(*spice.Scratch)
-		if scr == nil {
-			scr = &spice.Scratch{}
-		}
-		defer scratch.Put(scr)
-		r, err := gm.MultiplyCells(uint(i/inputSpan), uint(i%inputSpan), nil, scr)
-		if err != nil {
-			return pairRes{}, err
-		}
-		return pairRes{eps: math.Abs(float64(r.ErrorLSB())), energy: r.Energy}, nil
-	})
-	pairSpan.End()
+	score, err := inputSpace(gm, intra, rec, parent)
 	if err != nil {
 		return Metrics{}, err
 	}
 	// Serial reduction in (a, d) order through the shared scaffold.
-	if err := m.accumulate(func(a, d uint) (eps, energy float64, err error) {
-		p := pairs[int(a)*inputSpan+int(d)]
-		return p.eps, p.energy, nil
-	}); err != nil {
+	if err := m.accumulate(score); err != nil {
 		return Metrics{}, err
 	}
+
+	// Monte-Carlo workers reuse integrator buffers between transients; the
+	// pool hands each in-flight sample a private Scratch.
+	var scratch sync.Pool
 
 	// σ at the maximum discharge via Monte-Carlo mismatch sampling, one
 	// deterministic RNG stream per sample (seed fixed — same job, same
@@ -393,6 +366,28 @@ func (g *Golden) evaluateObserved(cfg mult.Config, cond device.PVT, intra int, r
 	m.SigmaMaxVolt = vAcc.StdDev()
 	m.SigmaMaxLSB = m.SigmaMaxVolt / gm.LSBVolt
 	return m, nil
+}
+
+// inputSpace runs the input-space phase of one golden corner and returns
+// the per-pair scorer Metrics.accumulate reduces. With matched cells the
+// transient of bit line i in pair (a, d) depends on (a, i) alone, so the
+// 64 distinct transients run once, under one "input-space" span, and
+// every pair composes from its code's row of the table.
+func inputSpace(gm *mult.Golden, intra int, rec *obs.Recorder, parent obs.SpanID) (func(a, d uint) (eps, energy float64, err error), error) {
+	var arg string
+	if rec != nil {
+		arg = fmt.Sprintf("%d transients", mult.MatchedTransients)
+	}
+	span := rec.StartSpan(parent, obs.CatPhase, "input-space", arg)
+	tab, _, err := gm.MatchedDischarges(intra)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	return func(a, d uint) (eps, energy float64, err error) {
+		r := gm.Compose(a, d, &tab[a])
+		return math.Abs(float64(r.ErrorLSB())), r.Energy, nil
+	}, nil
 }
 
 // accumulate scores the full 16×16 input space with the supplied per-pair

@@ -252,3 +252,47 @@ func TestEvaluateMatrixErrorNamesCondition(t *testing.T) {
 		t.Fatalf("error does not name the failing condition: %v", err)
 	}
 }
+
+// FuzzParseConditionSet: any spec either fails to parse or parses to a set
+// whose canonical form parses back to the identical set (every supply and
+// temperature bit for bit) with the identical canonical form — and no
+// input panics the parser.
+func FuzzParseConditionSet(f *testing.F) {
+	for _, seed := range []string{
+		"TT@1V@27C,SS@0.9V@60C,FF@1.1V@0C",
+		"TT@1.0V@27C",
+		" ss @ 0.90V @ -40C ",
+		"TT@1V@27C,TT@1.0V@27C",
+		"TT@1V@-0C,FF@0x1p-1V@1e2C",
+		"TT@5e-324V@-273.149C",
+		"TT@NaNV@27C",
+		"XX@1V@27C",
+		"TT@1@27",
+		",",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		set, err := ParseConditionSet(spec)
+		if err != nil {
+			return
+		}
+		canon := set.String()
+		back, err := ParseConditionSet(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not parse: %v", canon, spec, err)
+		}
+		if back.String() != canon || back.Len() != set.Len() {
+			t.Fatalf("round trip of %q: %q -> %q", spec, canon, back.String())
+		}
+		for j := 0; j < set.Len(); j++ {
+			a, b := set.At(j), back.At(j)
+			if a.Corner != b.Corner ||
+				math.Float64bits(a.VDD) != math.Float64bits(b.VDD) ||
+				math.Float64bits(a.TempC) != math.Float64bits(b.TempC) {
+				t.Fatalf("round trip of %q changed condition %d: %+v -> %+v", spec, j, a, b)
+			}
+		}
+	})
+}

@@ -463,6 +463,11 @@ type BatchOptions struct {
 	// ParentSpan parents the submission's batch span (0 = root) — a
 	// server job span, a search rung span.
 	ParentSpan obs.SpanID
+	// Tally, when non-nil, has this submission's own tier counts added to
+	// its Hits, DiskHits and Misses (Stats semantics) before the batch
+	// returns. Unlike a delta of Engine.Stats, it excludes what concurrent
+	// submissions on the same engine resolve meanwhile.
+	Tally *Stats
 }
 
 // ctx returns the submission's context, defaulting to Background.
@@ -614,6 +619,7 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	// stops the lookups — the remaining keys fall through to phase 3, which
 	// abandons them.
 	toRun := ownedKeys
+	var fromDisk uint64
 	if store != nil && len(ownedKeys) > 0 {
 		var lookupArg string
 		if rec != nil {
@@ -621,7 +627,6 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 		}
 		lookup := rec.StartSpan(bspan.ID(), obs.CatStore, "lookup", lookupArg)
 		toRun = toRun[:0]
-		var fromDisk uint64
 		for n, key := range ownedKeys {
 			if ctx.Err() != nil {
 				toRun = append(toRun, ownedKeys[n:]...)
@@ -653,8 +658,8 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	// included), so concurrent waiters never hang. The worker budget is
 	// split between job-level fan-out and the per-job intra budget of
 	// IntraBackend backends.
+	var ran atomic.Uint64
 	if len(toRun) > 0 {
-		var ran atomic.Uint64
 		if bb, ok := e.backend.(BatchBackend); ok {
 			// A batch-aware backend (the remote coordinator) takes the whole
 			// miss set in one call and resolves each claim through onDone —
@@ -698,6 +703,12 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 			}
 			e.persist(batch, em)
 		}
+	}
+
+	if t := opts.Tally; t != nil {
+		t.Hits += memHits
+		t.DiskHits += fromDisk
+		t.Misses += ran.Load()
 	}
 
 	// Assemble in job order; first error (by index) wins.

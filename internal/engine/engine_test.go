@@ -541,3 +541,29 @@ func TestEvaluateBatchErrorByJobIndex(t *testing.T) {
 		t.Fatalf("healthy corner of failed batch not cached: %d evaluations", got)
 	}
 }
+
+// TestBatchTallyCountsOwnTiers pins BatchOptions.Tally: each tier's count
+// is added for this batch alone — store hits, backend runs, and memory
+// hits including a duplicate within the batch — and a reused Tally sums.
+func TestBatchTallyCountsOwnTiers(t *testing.T) {
+	disk := newFakeStore()
+	jobs := testJobs(4)
+	if _, err := New(&fakeBackend{}, 2).WithStore(disk).EvaluateBatch(jobs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(&fakeBackend{}, 2).WithStore(disk)
+	var tally Stats
+	batch := append(append([]Job(nil), jobs...), jobs[3])
+	if _, err := eng.EvaluateBatchOpts(batch, BatchOptions{Tally: &tally}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{DiskHits: 2, Misses: 2, Hits: 1}); tally != want {
+		t.Fatalf("cold batch tally %+v, want %+v", tally, want)
+	}
+	if _, err := eng.EvaluateBatchOpts(jobs, BatchOptions{Tally: &tally}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{DiskHits: 2, Misses: 2, Hits: 5}); tally != want {
+		t.Fatalf("tally after a warm batch %+v, want %+v", tally, want)
+	}
+}

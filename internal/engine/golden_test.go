@@ -178,7 +178,7 @@ func BenchmarkGoldenTrim(b *testing.B) {
 }
 
 // BenchmarkGoldenEvaluate quantifies the tentpole: one cold golden corner
-// (16 trim + 256 input-space + GoldenSigmaSamples Monte-Carlo transients)
+// (16 trim + 64 input-space + 4 × GoldenSigmaSamples Monte-Carlo transients)
 // evaluated serially versus with an 8-worker intra-job budget. A fresh
 // backend per iteration keeps every run cold — this is the per-corner cost
 // a golden sweep pays, and the serial-vs-parallel gap is the intra-job

@@ -37,7 +37,10 @@ func (s SpeedupResult) Speedup() float64 {
 
 // SpeedupInputSpace measures the paper's headline experiment: iterating the
 // full 16×16 input space of one multiplier configuration with the
-// behavioral backend versus the golden backend (paper: 101×).
+// behavioral backend versus the golden backend (paper: 101×). The golden
+// side multiplies pair by pair (512 transients) on purpose: the paper's
+// figure is the cost of golden multiplications, not of the engine's
+// shared per-(a, i) transient table.
 func (c *Context) SpeedupInputSpace(cfg mult.Config) (SpeedupResult, error) {
 	out := SpeedupResult{Name: "input-space iteration"}
 	cond := nominalCond()

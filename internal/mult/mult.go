@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"optima/internal/core"
 	"optima/internal/device"
@@ -512,8 +513,9 @@ func (g *Golden) Multiply(a, d uint) (Result, error) {
 // state: cells carries the per-column mismatch (cell i backs bit line i;
 // nil means matched columns), scr optionally reuses one worker's integrator
 // buffers across calls. Columns whose d-bit is set are simulated for their
-// bit time. The receiver is never mutated, so concurrent calls with
-// distinct cells/scr are safe.
+// bit time (BitDischarge) and the discharges are read out by Compose. The
+// receiver is never mutated, so concurrent calls with distinct cells/scr
+// are safe.
 func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
@@ -521,28 +523,68 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 	if cells == nil {
 		cells = &sram.Word{}
 	}
+	var dv [OperandBits]float64
+	ran := 0
+	for i := 0; i < OperandBits; i++ {
+		if d&(1<<uint(i)) == 0 {
+			continue
+		}
+		v, err := g.BitDischarge(a, i, &cells[i], scr)
+		if err != nil {
+			return Result{}, err
+		}
+		dv[i] = v
+		ran++
+	}
+	res := g.Compose(a, d, &dv)
+	res.Transients = ran
+	return res, nil
+}
+
+// BitDischarge runs the golden transient of bit line i for input code a:
+// the column backed by cell (nil means a matched cell) discharges under
+// the code's word-line voltage for the bit time 2^i·τ0. It returns the
+// bit line's discharge ΔV at sampling, clamped at 0. The stored operand d
+// plays no part — it only selects which lines a multiplication runs — so
+// with matched cells the result depends on (a, i) alone.
+func (g *Golden) BitDischarge(a uint, i int, cell *sram.Cell, scr *spice.Scratch) (float64, error) {
+	if a > OperandMax || i < 0 || i >= OperandBits {
+		return 0, fmt.Errorf("mult: golden bit %d of code %d out of range", i, a)
+	}
+	if cell == nil {
+		cell = &sram.Cell{}
+	}
+	dp := cell.DischargePath(g.Tech, g.Cfg.DACVoltage(a, g.Cond.VDD), g.Cond)
+	tr, err := dp.DischargeScratch(g.Cfg.BitTime(i), g.Spice, 0, scr)
+	if err != nil {
+		return 0, fmt.Errorf("mult: golden bit %d: %w", i, err)
+	}
+	dv := g.Cond.VDD - tr.Waveform.Final()[0]
+	if dv < 0 {
+		dv = 0
+	}
+	return dv, nil
+}
+
+// Compose reads out the multiplication (a, d) from per-bit-line discharges:
+// dv[i] is bit line i's ΔV, and lines whose d-bit is clear are skipped.
+// The set lines are charge-shared and quantized with the golden trim, and
+// the energy adds each line's recharge in ascending i before the
+// peripheral (DAC, ADC, control) energy — this order is part of the
+// result, so every golden path composes here. Transients is left 0: the
+// caller knows what it ran.
+func (g *Golden) Compose(a, d uint, dv *[OperandBits]float64) Result {
 	res := Result{A: a, D: d, Expected: int(a * d)}
-	vwl := g.Cfg.DACVoltage(a, g.Cond.VDD)
 	var sum float64
 	for i := 0; i < OperandBits; i++ {
 		if d&(1<<uint(i)) == 0 {
 			continue
 		}
-		dp := cells[i].DischargePath(g.Tech, vwl, g.Cond)
-		tr, err := dp.DischargeScratch(g.Cfg.BitTime(i), g.Spice, 0, scr)
-		if err != nil {
-			return Result{}, fmt.Errorf("mult: golden bit %d: %w", i, err)
-		}
-		res.Transients++
-		dv := g.Cond.VDD - tr.Waveform.Final()[0]
-		if dv < 0 {
-			dv = 0
-		}
-		res.DeltaV[i] = dv
-		sum += dv
+		res.DeltaV[i] = dv[i]
+		sum += dv[i]
 		// Recharge energy of this bit line (same physical definition the
 		// energy model was calibrated against).
-		res.Energy += spice.DefaultCBL * g.Cond.VDD * dv
+		res.Energy += spice.DefaultCBL * g.Cond.VDD * dv[i]
 	}
 	res.VComb = sum / OperandBits
 	code := int(math.Round((res.VComb - g.OffsetVolt) / g.LSBVolt))
@@ -554,6 +596,46 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 	}
 	res.Code = code
 	// Same peripheral accounting as the behavioral backend.
+	vwl := g.Cfg.DACVoltage(a, g.Cond.VDD)
 	res.Energy += DefaultDACCap*g.Cond.VDD*vwl + DefaultADCEnergy + DefaultCtrlEnergy
-	return res, nil
+	return res
+}
+
+// MatchedTable holds the matched-cell discharge of every bit line for
+// every input code: MatchedTable[a][i] is BitDischarge(a, i, nil, ·).
+// Row a feeds Compose for all sixteen stored operands d.
+type MatchedTable [OperandMax + 1][OperandBits]float64
+
+// MatchedTransients is the transient count of one MatchedTable: one per
+// (input code, bit line).
+const MatchedTransients = (OperandMax + 1) * OperandBits
+
+// MatchedDischarges runs the 64 distinct matched-cell transients of the
+// input space — each (a, i) once, instead of once per pair (a, d) with bit
+// i set — fanned out across up to workers goroutines (workers <= 0 uses
+// GOMAXPROCS), each in-flight transient on its own integrator scratch.
+// Every transient fills its fixed (a, i) slot, so the table is identical
+// at any worker count. It returns the table and the transients it ran.
+func (g *Golden) MatchedDischarges(workers int) (*MatchedTable, int, error) {
+	idx := make([]int, MatchedTransients)
+	for k := range idx {
+		idx[k] = k
+	}
+	var scratch sync.Pool
+	dvs, err := sched.Map(workers, idx, func(_ int, k int) (float64, error) {
+		scr, _ := scratch.Get().(*spice.Scratch)
+		if scr == nil {
+			scr = &spice.Scratch{}
+		}
+		defer scratch.Put(scr)
+		return g.BitDischarge(uint(k/OperandBits), k%OperandBits, nil, scr)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	var tab MatchedTable
+	for k, v := range dvs {
+		tab[k/OperandBits][k%OperandBits] = v
+	}
+	return &tab, len(dvs), nil
 }

@@ -370,22 +370,22 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 }
 
 // evaluateRung submits one rung's pool × conditions as a single engine
-// matrix batch and attributes the engine's accounting delta to the rung.
+// matrix batch and attributes that batch's own tier counts to the rung —
+// on a shared engine, concurrent submissions' hits are not the rung's.
 // The returned metrics are the rung's selection scores, in pool order: the
 // per-config metrics at the single condition of a nominal search, or the
 // worst-case composites (dse.RobustMetrics.Score) in robust mode — in which
 // case the full cross-condition summaries are returned alongside.
 func evaluateRung(ctx context.Context, eng *engine.Engine, pool []mult.Config, conds engine.ConditionSet, robust bool, rung int, onProgress func(rung, done, total int), rec *obs.Recorder, parent obs.SpanID) ([]dse.Metrics, []dse.RobustMetrics, RungStats, error) {
-	bo := engine.BatchOptions{Ctx: ctx, Recorder: rec, ParentSpan: parent}
+	var d engine.Stats
+	bo := engine.BatchOptions{Ctx: ctx, Recorder: rec, ParentSpan: parent, Tally: &d}
 	if onProgress != nil {
 		bo.OnProgress = func(done, total int) { onProgress(rung, done, total) }
 	}
-	pre := eng.Stats()
 	mat, err := eng.EvaluateMatrixOpts(pool, conds, bo)
 	if err != nil {
 		return nil, nil, RungStats{}, fmt.Errorf("search: %w", err)
 	}
-	d := eng.Stats().Sub(pre)
 	stats := RungStats{
 		Fidelity:   eng.Backend().Name(),
 		Candidates: len(pool),

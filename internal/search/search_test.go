@@ -643,3 +643,80 @@ func TestRobustSearchPromotesAllConditions(t *testing.T) {
 		}
 	}
 }
+
+// gatedBackend is pvtBackend whose search-space evaluations (V_DAC,0 =
+// 0.3 V, robustSpace) block until release closes; entered closes when the
+// first of them arrives, so a test knows a rung's batch is in flight.
+// Other configurations evaluate immediately.
+type gatedBackend struct {
+	pvtBackend
+	once     sync.Once
+	entered  chan struct{}
+	release  chan struct{}
+	gatedV0  float64
+	gatedHit atomic.Int64
+}
+
+func (b *gatedBackend) Evaluate(cfg mult.Config, cond device.PVT) (engine.Metrics, error) {
+	if cfg.VDAC0 == b.gatedV0 {
+		b.once.Do(func() { close(b.entered) })
+		<-b.release
+		b.gatedHit.Add(1)
+	}
+	return b.pvtBackend.Evaluate(cfg, cond)
+}
+
+// TestRungCountsExcludeConcurrentBatches pins a rung's accounting to its
+// own batch on a shared engine: another submission that evaluates and
+// then re-reads its own cells while the rung is in flight must not show
+// up in the rung's evaluated or cache-hit counts.
+func TestRungCountsExcludeConcurrentBatches(t *testing.T) {
+	conds := robustConditions(t)
+	gate := &gatedBackend{
+		pvtBackend: pvtBackend{name: "screen"},
+		entered:    make(chan struct{}),
+		release:    make(chan struct{}),
+		gatedV0:    0.3,
+	}
+	eng := engine.New(gate, 2)
+
+	var res *search.Result
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, runErr = search.Run(context.Background(), search.Options{
+			Space:      robustSpace(),
+			Screen:     eng,
+			Conditions: conds,
+			Rungs:      1,
+			Seed:       1,
+		})
+	}()
+	<-gate.entered
+	// The rung's batch is blocked in the backend: a second submission
+	// evaluates disjoint cells, then hits them in memory.
+	other := []mult.Config{
+		{Tau0: 0.2e-9, VDAC0: 0.4, VDACFS: 1.0},
+		{Tau0: 0.3e-9, VDAC0: 0.4, VDACFS: 1.0},
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := eng.EvaluateMatrix(other, conds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate.release)
+	<-done
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	r := res.Trace.Rungs[0]
+	cells := uint64(r.Candidates * r.Conditions)
+	if r.Evaluated != cells || r.CacheHits != 0 || r.StoreHits != 0 {
+		t.Fatalf("rung 0 counts %d evaluated, %d cache hits, %d store hits; want %d, 0, 0 (its own %d cells only)",
+			r.Evaluated, r.CacheHits, r.StoreHits, cells, cells)
+	}
+	if got := uint64(gate.gatedHit.Load()); got != cells {
+		t.Fatalf("backend ran %d search cells, rung 0 submitted %d", got, cells)
+	}
+}

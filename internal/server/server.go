@@ -21,11 +21,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"optima/internal/engine"
 	"optima/internal/exp"
@@ -108,6 +110,36 @@ func New(expCtx *exp.Context) *Server {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// MaxJobBodyBytes caps a job submission's JSON body. A job request is a
+// few axis specs and numbers; a larger body is answered 413 unread.
+const MaxJobBodyBytes = 1 << 20
+
+// Request read bounds of NewHTTPServer. There is no write timeout: the
+// guard is against clients that hold connections by sending slowly. Job
+// streams are unaffected either way — net/http clears a connection's
+// deadlines when the WebSocket upgrade hijacks it.
+const (
+	// readHeaderTimeout bounds reading the request line and headers, so a
+	// client that never finishes its headers cannot hold a connection.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds reading the whole request, body included.
+	readTimeout = 30 * time.Second
+	// idleTimeout bounds how long a keep-alive connection waits for its
+	// next request.
+	idleTimeout = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server optima-server serves h with: the
+// request read bounds above set, no write timeout.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -362,9 +394,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job request exceeds %d bytes", MaxJobBodyBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}
